@@ -45,11 +45,13 @@ doc:
 fuzz:
 	$(DUNE) exec fuzz/fuzz_main.exe
 
-# Kill-anywhere durability proof: SIGKILL the CLI at randomized
-# durable-byte offsets, recover with `infer --recover`, and require the
-# recovered event log to be byte-identical to an uninterrupted run's.
-# Seeds are logged; reproduce one trial with
-# `dune exec crash/crash_main.exe -- 1 SEED`.
+# Kill-anywhere durability proof: 50 `infer` trials plus 50 `serve`
+# trials, each SIGKILLing the CLI at a randomized durable-byte offset,
+# recovering with `--recover`, and requiring the recovered event log to
+# be byte-identical to an uninterrupted run's; plus one trial per
+# command that recovers a completed (drained) run. Seeds are logged;
+# reproduce one trial with
+# `dune exec crash/crash_main.exe -- 1 SEED infer` (or `serve`).
 crash-test:
 	$(DUNE) exec crash/crash_main.exe -- 50
 

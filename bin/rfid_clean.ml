@@ -12,6 +12,8 @@
 open Cmdliner
 open Rfid_model
 
+let ( let* ) = Result.bind
+
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
 
@@ -280,57 +282,20 @@ let guarded_run ?(on_admitted = fun _ -> ()) ?(on_events = fun _ -> ())
              raise Exit)
        observations
    with Exit -> stopped := true);
-  if !stopped then save_checkpoint ()
-  else begin
+  save_checkpoint ();
+  if not !stopped then begin
+    (* The final checkpoint precedes the flush, and the marker separates
+       replayable step events from end-of-stream flush events in the
+       durable log: flush events share the final step's epoch, so
+       recovery trims the log at the marker and the restored engine,
+       whose reports are still pending, flushes them again (see
+       Rfid_robust.Session). *)
     let final = Rfid_core.Engine.flush engine in
-    (* The marker separates replayable step events from end-of-stream
-       flush events in the durable log: flush events share the final
-       step's epoch, so without it recovery could not tell whether the
-       log's tail still needs regenerating (see truncate_events_file). *)
     on_flush_mark ();
     on_events final;
-    events := List.rev_append final !events;
-    save_checkpoint ()
+    events := List.rev_append final !events
   end;
   (List.rev !events, !stopped)
-
-(* Chop a durable event log back to the complete lines covered by the
-   checkpoint being recovered from (epoch <= [epoch]); everything past
-   that — a line torn mid-write by the crash, flush events (behind
-   their "# flush" marker, which deliberately fails the epoch parse),
-   anything newer than the checkpoint — is regenerated by WAL replay
-   and the continued run. *)
-let truncate_events_file ~path ~epoch =
-  let data =
-    match open_in_bin path with
-    | exception Sys_error _ -> None
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  in
-  match data with
-  | None -> ()
-  | Some data ->
-      let len = String.length data in
-      let keep = ref 0 in
-      (try
-         let pos = ref 0 in
-         while !pos < len do
-           match String.index_from data !pos '\n' with
-           | exception Not_found -> raise Exit (* torn last line *)
-           | nl -> (
-               let line = String.sub data !pos (nl - !pos) in
-               match Scanf.sscanf line "t=%d" (fun e -> e) with
-               | e when e <= epoch ->
-                   keep := nl + 1;
-                   pos := nl + 1
-               | _ -> raise Exit
-               | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
-                   raise Exit)
-         done
-       with Exit -> ());
-      if !keep <> len then Unix.truncate path !keep
 
 (* Write the collected observability snapshots as one JSON document;
    snapshots are ordered oldest first. *)
@@ -391,32 +356,6 @@ let infer objects rounds read_rate seed variant particles min_particles resample
       Rfid_sim.Faults.apply faults ~seed:ff.ff_seed observations
     end
   in
-  (if recover && checkpoint = None then
-     failwith "--recover needs --checkpoint to know where the checkpoints live");
-  let fresh_engine () =
-    Rfid_core.Engine.create ~world ~params ~config
-      ~init_reader:(Rfid_sim.Warehouse.reader_start wh)
-      ~num_objects:objects ~seed ()
-  in
-  let resume_source = if recover then checkpoint else resume in
-  let engine =
-    match resume_source with
-    | Some path -> (
-        (* Either a single checkpoint file or a rotation directory;
-           load_auto walks the rotation chain past corrupted files. *)
-        match Rfid_robust.Checkpoint.load_auto ~path with
-        | Ok snapshot ->
-            Format.eprintf "# resuming from %s at epoch %d@." path
-              (Rfid_core.Engine.snapshot_epoch snapshot);
-            Rfid_core.Engine.restore ~world ~params ~config snapshot
-        | Error msg when recover ->
-            (* The crash happened before the first checkpoint became
-               durable; recovery degenerates to a fresh run. *)
-            Format.eprintf "# no loadable checkpoint (%s); recovering from the start@." msg;
-            fresh_engine ()
-        | Error msg -> failwith msg)
-    | None -> fresh_engine ()
-  in
   let guard =
     Rfid_robust.Ingest.create
       ~policies:
@@ -424,130 +363,32 @@ let infer objects rounds read_rate seed variant particles min_particles resample
           Rfid_robust.Ingest.on_out_of_order_epoch = on_ooo }
       ~bounds:(World.bounding_box world) ~max_object_id:objects ()
   in
-  (* A run starting from scratch truncates its WAL and event log below;
-     stale checkpoints need the same hygiene, or a later crash would
-     recover from a previous run's newer state instead of this one's. *)
-  (match checkpoint with
-  | Some path when resume_source = None ->
-      if checkpoint_keep > 1 then Rfid_robust.Checkpoint.clear_rotation ~dir:path
-      else
-        List.iter
-          (fun p -> if Sys.file_exists p then try Sys.remove p with Sys_error _ -> ())
-          [ path; path ^ ".tmp" ]
-  | _ -> ());
-  (* Recovery, step 1: trim both durable logs back to a consistent
-     prefix — the event log to complete lines covered by the restored
-     checkpoint, the WAL to its last intact record — before anything
-     reopens them for append. *)
-  (if recover then begin
-     let e0 = Rfid_core.Engine.epoch engine in
-     (match events_out with
-     | Some path -> truncate_events_file ~path ~epoch:e0
-     | None -> ());
-     match wal with
-     | None -> ()
-     | Some path ->
-         let tail = Rfid_robust.Wal.read ~path in
-         (match tail.Rfid_robust.Wal.note with
-         | Some why ->
-             Format.eprintf "# wal: %s; discarding %d byte(s) of torn tail@." why
-               tail.Rfid_robust.Wal.discarded_bytes
-         | None -> ());
-         Rfid_robust.Wal.truncate ~path
-           ~valid_bytes:tail.Rfid_robust.Wal.valid_bytes
-   end);
-  let events_fd =
-    match events_out with
-    | None -> None
-    | Some path -> (
-        let flags =
-          Unix.O_WRONLY :: Unix.O_CREAT
-          :: (if recover then [ Unix.O_APPEND ] else [ Unix.O_TRUNC ])
-        in
-        match Unix.openfile path flags 0o644 with
-        | exception Unix.Unix_error (e, _, _) ->
-            raise (Sys_error (path ^ ": " ^ Unix.error_message e))
-        | fd -> Some fd)
+  let mode =
+    match (recover, resume) with
+    | true, _ -> Rfid_robust.Session.Recover
+    | false, Some path -> Rfid_robust.Session.Resume path
+    | false, None -> Rfid_robust.Session.Fresh
   in
-  let on_events evs =
-    match events_fd with
-    | None -> ()
-    | Some fd ->
-        List.iter
-          (fun ev ->
-            Rfid_robust.Durable.write fd
-              (Format.asprintf "%a\n" Rfid_core.Event.pp ev))
-          evs
+  let fresh () =
+    Rfid_core.Engine.create ~world ~params ~config
+      ~init_reader:(Rfid_sim.Warehouse.reader_start wh)
+      ~num_objects:objects ~seed ()
   in
-  let on_flush_mark () =
-    match events_fd with
-    | None -> ()
-    | Some fd -> Rfid_robust.Durable.write fd "# flush\n"
+  let* session =
+    Rfid_robust.Session.open_ ~mode ?checkpoint ~checkpoint_keep ?wal ~wal_fsync_every
+      ?events:events_out ~fresh
+      ~restore:(Rfid_core.Engine.restore ~world ~params ~config)
+      ~guard ()
   in
-  (* Recovery, step 2: replay the WAL entries past the checkpoint
-     through a fresh guard, regenerating the lost epochs' events —
-     bit-identical, because replayed inputs equal original inputs and
-     the checkpoint restored the RNG streams. The journal is attached
-     only afterwards, so replayed entries are not logged twice. *)
-  let replayed_events =
-    if not recover then []
-    else
-      match wal with
-      | None -> []
-      | Some path -> (
-          let tail = Rfid_robust.Wal.read ~path in
-          match Rfid_robust.Wal.replay ~guard ~engine tail.Rfid_robust.Wal.entries with
-          | Ok evs ->
-              if evs <> [] || tail.Rfid_robust.Wal.entries <> [] then
-                Format.eprintf "# wal: replayed %d entr(ies) to epoch %d@."
-                  (List.length tail.Rfid_robust.Wal.entries)
-                  (Rfid_core.Engine.epoch engine);
-              on_events evs;
-              evs
-          | Error msg -> failwith msg)
-  in
-  let wal_writer =
-    match wal with
-    | None -> None
-    | Some path ->
-        Some
-          (Rfid_robust.Wal.create_writer ~append:recover
-             ~fsync_every:wal_fsync_every ~path ())
-  in
-  (match wal_writer with
-  | None -> ()
-  | Some w ->
-      Rfid_core.Engine.set_journal engine
-        (Some
-           (fun entry ->
-             Rfid_robust.Wal.append w
-               (match entry with
-               | Rfid_core.Engine.Journal_step o -> Rfid_robust.Wal.Step o
-               | Rfid_core.Engine.Journal_degraded (e, tags) ->
-                   Rfid_robust.Wal.Degraded (e, tags)))));
-  let save_checkpoint () =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-        (* Durability barrier: everything the checkpoint's epoch covers
-           — WAL records and event lines — must be on disk before the
-           checkpoint that supersedes them is published. *)
-        (match wal_writer with Some w -> Rfid_robust.Wal.sync w | None -> ());
-        (match events_fd with Some fd -> Rfid_robust.Durable.fsync fd | None -> ());
-        let snapshot = Rfid_core.Engine.snapshot engine in
-        if checkpoint_keep > 1 then
-          Rfid_robust.Checkpoint.save_rotating ~dir:path ~keep:checkpoint_keep snapshot
-        else Rfid_robust.Checkpoint.save ~path snapshot
-  in
+  let engine = Rfid_robust.Session.engine session in
   let observations =
     (* After a resume (or recovery replay) the engine has already
        consumed everything up to its current epoch; feed it only the
        remainder. *)
-    match resume_source with
-    | None -> observations
-    | Some _ ->
-        let e0 = Rfid_core.Engine.epoch engine in
-        List.filter (fun (o : Types.observation) -> o.Types.o_epoch > e0) observations
+    if mode = Rfid_robust.Session.Fresh then observations
+    else
+      let e0 = Rfid_core.Engine.epoch engine in
+      List.filter (fun (o : Types.observation) -> o.Types.o_epoch > e0) observations
   in
   let snapshots = ref [] in
   let take_snapshot () =
@@ -563,19 +404,15 @@ let infer objects rounds read_rate seed variant particles min_particles resample
   in
   let t0 = Unix.gettimeofday () in
   let events, stopped =
-    guarded_run ~on_admitted ~on_events ~on_flush_mark ~guard ~engine
-      ~save_checkpoint ~checkpoint_every ~stop_after observations
+    guarded_run ~on_admitted
+      ~on_events:(Rfid_robust.Session.on_events session)
+      ~on_flush_mark:(fun () -> Rfid_robust.Session.on_flush_mark session)
+      ~guard ~engine
+      ~save_checkpoint:(fun () -> Rfid_robust.Session.checkpoint session)
+      ~checkpoint_every ~stop_after observations
   in
-  let events = replayed_events @ events in
-  (match wal_writer with Some w -> Rfid_robust.Wal.close w | None -> ());
-  (match events_fd with
-  | Some fd ->
-      (try Rfid_robust.Durable.fsync fd with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  if wal <> None then
-    (* The crash-test harness reads this to bound its kill offsets. *)
-    Printf.eprintf "# durable-bytes=%d\n%!" (Rfid_robust.Durable.total_written ());
+  let events = Rfid_robust.Session.replayed session @ events in
+  Rfid_robust.Session.close session;
   List.iter (fun ev -> Format.printf "%a@." Rfid_core.Event.pp ev) events;
   let stats = Rfid_core.Engine.stats engine in
   Format.printf "@.ingest: %a@." Rfid_robust.Ingest.pp_counters guard;
@@ -588,17 +425,18 @@ let infer objects rounds read_rate seed variant particles min_particles resample
       write_metrics_file ~path snapshots;
       print_stage_summary ();
       Format.printf "metrics: wrote %d snapshot(s) to %s@." (List.length snapshots) path);
-  if stopped then
-    Format.printf "stopped early at epoch %d%s@."
-      (Rfid_core.Engine.epoch engine)
-      (match checkpoint with
-      | Some path -> Printf.sprintf " (checkpoint saved to %s)" path
-      | None -> "")
-  else if resume_source = None && Rfid_sim.Faults.is_none faults then begin
-    let error = Rfid_eval.Metrics.inference_error events trace in
-    Format.printf "%a | %.1fs total@." Rfid_eval.Metrics.pp_error error
-      (Unix.gettimeofday () -. t0)
-  end
+  (if stopped then
+     Format.printf "stopped early at epoch %d%s@."
+       (Rfid_core.Engine.epoch engine)
+       (match checkpoint with
+       | Some path -> Printf.sprintf " (checkpoint saved to %s)" path
+       | None -> "")
+   else if mode = Rfid_robust.Session.Fresh && Rfid_sim.Faults.is_none faults then begin
+     let error = Rfid_eval.Metrics.inference_error events trace in
+     Format.printf "%a | %.1fs total@." Rfid_eval.Metrics.pp_error error
+       (Unix.gettimeofday () -. t0)
+   end);
+  Ok ()
 
 let infer_cmd =
   let doc =
@@ -704,11 +542,12 @@ let infer_cmd =
   Cmd.v
     (Cmd.info "infer" ~doc)
     Term.(
-      const infer $ objects_arg $ rounds_arg $ read_rate_arg $ seed_arg $ variant_arg
-      $ particles_arg $ min_particles_arg $ resample_ess_arg $ domains_arg
-      $ fault_flags_term $ on_ooo_arg $ checkpoint $ checkpoint_keep
-      $ checkpoint_every $ resume $ stop_after $ wal $ wal_fsync_every $ events_out
-      $ recover $ metrics $ metrics_every)
+      term_result'
+        (const infer $ objects_arg $ rounds_arg $ read_rate_arg $ seed_arg $ variant_arg
+        $ particles_arg $ min_particles_arg $ resample_ess_arg $ domains_arg
+        $ fault_flags_term $ on_ooo_arg $ checkpoint $ checkpoint_keep
+        $ checkpoint_every $ resume $ stop_after $ wal $ wal_fsync_every $ events_out
+        $ recover $ metrics $ metrics_every))
 
 (* ------------------------------------------------------------------ *)
 (* calibrate                                                           *)
@@ -909,45 +748,6 @@ let lab_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 
-(* Parse one durable events-log line back into an event, to reseed the
-   server's EVENTS ring on --recover. The log prints through Event.pp
-   at fixed (3-decimal) precision, so the reconstruction is lossy in
-   the covariance — only sd_xy survives, as a diagonal — but re-printing
-   the parsed event yields the original line byte-for-byte, which is
-   the property EVENTS replies need across a crash. *)
-let event_of_log_line line =
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then None
-  else
-    let degraded =
-      let suffix = " [degraded]" in
-      let n = String.length line and k = String.length suffix in
-      n >= k && String.sub line (n - k) k = suffix
-    in
-    let mk e o x y z sd =
-      let cov =
-        Option.map
-          (fun s ->
-            let v = s *. s in
-            [| [| v; 0.; 0. |]; [| 0.; v; 0. |]; [| 0.; 0.; 0. |] |])
-          sd
-      in
-      Rfid_core.Event.make ~epoch:e ~obj:o ~loc:(Rfid_geom.Vec3.make x y z) ?cov
-        ~degraded ()
-    in
-    match
-      Scanf.sscanf line "t=%d obj=%d loc=(%f, %f, %f) (sd_xy=%f" (fun e o x y z s ->
-          mk e o x y z (Some s))
-    with
-    | ev -> Some ev
-    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> (
-        match
-          Scanf.sscanf line "t=%d obj=%d loc=(%f, %f, %f" (fun e o x y z ->
-              mk e o x y z None)
-        with
-        | ev -> Some ev
-        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None)
-
 let serve host port objects seed variant particles min_particles resample_ess
     domains admit_cap max_steps_per_tick events_keep checkpoint checkpoint_keep
     checkpoint_every wal wal_fsync_every events_out recover metrics_push
@@ -957,167 +757,39 @@ let serve host port objects seed variant particles min_particles resample_ess
     Rfid_serve.Bootstrap.make ~objects ~seed ~variant ~particles ~min_particles
       ~resample_ess ~domains ()
   in
-  (if recover && checkpoint = None then
-     failwith "--recover needs --checkpoint to know where the checkpoints live");
-  let engine =
-    if recover then
-      match Rfid_robust.Checkpoint.load_auto ~path:(Option.get checkpoint) with
-      | Ok snapshot ->
-          Format.eprintf "# resuming from %s at epoch %d@." (Option.get checkpoint)
-            (Rfid_core.Engine.snapshot_epoch snapshot);
-          Rfid_serve.Bootstrap.restore_engine boot snapshot
-      | Error msg ->
-          Format.eprintf "# no loadable checkpoint (%s); recovering from the start@."
-            msg;
-          Rfid_serve.Bootstrap.fresh_engine boot
-    else Rfid_serve.Bootstrap.fresh_engine boot
-  in
   let guard = Rfid_serve.Bootstrap.fresh_guard boot in
-  Rfid_robust.Ingest.advance_timeline guard (Rfid_core.Engine.epoch engine);
-  (* Fresh-run hygiene, as in infer: stale checkpoints from a previous
-     run must not shadow this one's. *)
-  (match checkpoint with
-  | Some path when not recover ->
-      if checkpoint_keep > 1 then Rfid_robust.Checkpoint.clear_rotation ~dir:path
-      else
-        List.iter
-          (fun p -> if Sys.file_exists p then try Sys.remove p with Sys_error _ -> ())
-          [ path; path ^ ".tmp" ]
-  | _ -> ());
-  (* Recovery, step 1: trim the durable logs to a consistent prefix
-     before reopening them for append (same discipline as infer). *)
-  (if recover then begin
-     let e0 = Rfid_core.Engine.epoch engine in
-     (match events_out with
-     | Some path -> truncate_events_file ~path ~epoch:e0
-     | None -> ());
-     match wal with
-     | None -> ()
-     | Some path ->
-         let tail = Rfid_robust.Wal.read ~path in
-         (match tail.Rfid_robust.Wal.note with
-         | Some why ->
-             Format.eprintf "# wal: %s; discarding %d byte(s) of torn tail@." why
-               tail.Rfid_robust.Wal.discarded_bytes
-         | None -> ());
-         Rfid_robust.Wal.truncate ~path ~valid_bytes:tail.Rfid_robust.Wal.valid_bytes
-   end);
-  let events_fd =
-    match events_out with
-    | None -> None
-    | Some path -> (
-        let flags =
-          Unix.O_WRONLY :: Unix.O_CREAT
-          :: (if recover then [ Unix.O_APPEND ] else [ Unix.O_TRUNC ])
-        in
-        match Unix.openfile path flags 0o644 with
-        | exception Unix.Unix_error (e, _, _) ->
-            raise (Sys_error (path ^ ": " ^ Unix.error_message e))
-        | fd -> Some fd)
+  let* pusher =
+    match metrics_push with
+    | None -> Ok None
+    | Some (mhost, mport) -> (
+        match Rfid_serve.Push.create ~host:mhost ~port:mport with
+        | Ok p -> Ok (Some p)
+        | Error msg -> Error ("--metrics-push: " ^ msg))
   in
-  let on_events evs =
-    match events_fd with
-    | None -> ()
-    | Some fd ->
-        List.iter
-          (fun ev ->
-            Rfid_robust.Durable.write fd (Format.asprintf "%a\n" Rfid_core.Event.pp ev))
-          evs
-  in
-  let on_flush_mark () =
-    match events_fd with
-    | None -> ()
-    | Some fd -> Rfid_robust.Durable.write fd "# flush\n"
-  in
-  (* Recovery, step 2: replay the WAL past the checkpoint; the journal
-     is attached only afterwards, so replayed entries are not logged
-     twice. *)
-  (if recover then
-     match wal with
-     | None -> ()
-     | Some path -> (
-         let tail = Rfid_robust.Wal.read ~path in
-         match Rfid_robust.Wal.replay ~guard ~engine tail.Rfid_robust.Wal.entries with
-         | Ok evs ->
-             if evs <> [] || tail.Rfid_robust.Wal.entries <> [] then
-               Format.eprintf "# wal: replayed %d entr(ies) to epoch %d@."
-                 (List.length tail.Rfid_robust.Wal.entries)
-                 (Rfid_core.Engine.epoch engine);
-             on_events evs
-         | Error msg -> failwith msg));
-  let wal_writer =
-    match wal with
-    | None -> None
-    | Some path ->
-        Some
-          (Rfid_robust.Wal.create_writer ~append:recover ~fsync_every:wal_fsync_every
-             ~path ())
-  in
-  (match wal_writer with
-  | None -> ()
-  | Some w ->
-      Rfid_core.Engine.set_journal engine
-        (Some
-           (fun entry ->
-             Rfid_robust.Wal.append w
-               (match entry with
-               | Rfid_core.Engine.Journal_step o -> Rfid_robust.Wal.Step o
-               | Rfid_core.Engine.Journal_degraded (e, tags) ->
-                   Rfid_robust.Wal.Degraded (e, tags)))));
-  let save_checkpoint eng =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-        (* Durability barrier (as in infer): WAL records and event
-           lines covered by the checkpoint reach disk first. *)
-        (match wal_writer with Some w -> Rfid_robust.Wal.sync w | None -> ());
-        (match events_fd with Some fd -> Rfid_robust.Durable.fsync fd | None -> ());
-        let snapshot = Rfid_core.Engine.snapshot eng in
-        if checkpoint_keep > 1 then
-          Rfid_robust.Checkpoint.save_rotating ~dir:path ~keep:checkpoint_keep snapshot
-        else Rfid_robust.Checkpoint.save ~path snapshot
+  let* session =
+    Rfid_robust.Session.open_
+      ~mode:(if recover then Rfid_robust.Session.Recover else Rfid_robust.Session.Fresh)
+      ?checkpoint ~checkpoint_keep ?wal ~wal_fsync_every ?events:events_out
+      ~fresh:(fun () -> Rfid_serve.Bootstrap.fresh_engine boot)
+      ~restore:(Rfid_serve.Bootstrap.restore_engine boot)
+      ~guard ()
   in
   let hooks =
     {
-      Rfid_serve.Core.on_events;
-      on_flush_mark;
+      Rfid_serve.Core.on_events = Rfid_robust.Session.on_events session;
+      on_flush_mark = (fun () -> Rfid_robust.Session.on_flush_mark session);
       on_admitted = (fun _ -> ());
-      on_checkpoint = save_checkpoint;
+      on_checkpoint = (fun _ -> Rfid_robust.Session.checkpoint session);
     }
   in
+  let engine = Rfid_robust.Session.engine session in
   let core =
     Rfid_serve.Core.create ~guard ~engine ~num_objects:objects ~admit_cap
       ~events_keep ~checkpoint_every ~hooks ()
   in
-  (* Reseed the EVENTS ring from the durable log (which now also holds
-     any WAL-regenerated lines), oldest first, so a recovered server
-     answers EVENTS with the same history the uninterrupted one
-     would — without duplicating any event. *)
-  (if recover then
-     match events_out with
-     | None -> ()
-     | Some path -> (
-         match open_in_bin path with
-         | exception Sys_error _ -> ()
-         | ic ->
-             Fun.protect
-               ~finally:(fun () -> close_in_noerr ic)
-               (fun () ->
-                 try
-                   while true do
-                     match event_of_log_line (input_line ic) with
-                     | Some ev -> Rfid_serve.Core.preload_event core ev
-                     | None -> ()
-                   done
-                 with End_of_file -> ())));
-  let pusher =
-    match metrics_push with
-    | None -> None
-    | Some (mhost, mport) -> (
-        match Rfid_serve.Push.create ~host:mhost ~port:mport with
-        | Ok p -> Some p
-        | Error msg -> failwith (Printf.sprintf "--metrics-push: %s" msg))
-  in
+  (* A recovered server answers EVENTS with the history the
+     uninterrupted one would: the durable log, oldest first. *)
+  Rfid_robust.Session.iter_log session (Rfid_serve.Core.preload_event core);
   let g_epoch = Rfid_obs.Metrics.gauge Rfid_obs.Metrics.global "serve.epoch" in
   let g_queue = Rfid_obs.Metrics.gauge Rfid_obs.Metrics.global "serve.queue_depth" in
   let g_admitted = Rfid_obs.Metrics.gauge Rfid_obs.Metrics.global "serve.admitted" in
@@ -1152,21 +824,15 @@ let serve host port objects seed variant particles min_particles resample_ess
   Rfid_serve.Server.run ~on_listening ~on_pass core config;
   (* The loop has returned: stop was requested and Core.drain ran
      (flush + checkpoint through the hooks). Close the durable tail. *)
-  (match wal_writer with Some w -> Rfid_robust.Wal.close w | None -> ());
-  (match events_fd with
-  | Some fd ->
-      (try Rfid_robust.Durable.fsync fd with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  (match pusher with Some p -> Rfid_serve.Push.close p | None -> ());
-  if wal <> None then
-    Printf.eprintf "# durable-bytes=%d\n%!" (Rfid_robust.Durable.total_written ());
+  Option.iter Rfid_serve.Push.close pusher;
+  Rfid_robust.Session.close session;
   Format.printf "drained at epoch %d (admitted %d)@."
     (Rfid_serve.Core.epoch core)
     (Rfid_serve.Core.admitted core);
   Format.printf "ingest: %a@." Rfid_robust.Ingest.pp_counters guard;
   Format.printf "engine: %a@." Rfid_core.Engine.pp_stats
-    (Rfid_core.Engine.stats engine)
+    (Rfid_core.Engine.stats engine);
+  Ok ()
 
 let serve_cmd =
   let doc =
@@ -1294,11 +960,12 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const serve $ host $ port $ objects_arg $ seed_arg $ variant_arg
-      $ particles_arg $ min_particles_arg $ resample_ess_arg $ domains_arg
-      $ admit_cap $ max_steps_per_tick $ events_keep $ checkpoint $ checkpoint_keep
-      $ checkpoint_every $ wal $ wal_fsync_every $ events_out $ recover
-      $ metrics_push $ metrics_push_every)
+      term_result'
+        (const serve $ host $ port $ objects_arg $ seed_arg $ variant_arg
+        $ particles_arg $ min_particles_arg $ resample_ess_arg $ domains_arg
+        $ admit_cap $ max_steps_per_tick $ events_keep $ checkpoint $ checkpoint_keep
+        $ checkpoint_every $ wal $ wal_fsync_every $ events_out $ recover
+        $ metrics_push $ metrics_push_every))
 
 (* ------------------------------------------------------------------ *)
 

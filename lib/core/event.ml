@@ -30,3 +30,29 @@ let pp ppf t =
       | Some s -> Format.fprintf ppf " (sd_xy=%.3f)" s
       | None -> ())
     (fun ppf -> if t.ev_degraded then Format.fprintf ppf " [degraded]")
+
+let of_log_line line =
+  let line = String.trim line in
+  if line = "" || line.[0] = '#' then None
+  else
+    let degraded = String.ends_with ~suffix:" [degraded]" line in
+    let mk e o x y z sd =
+      let cov =
+        Option.map
+          (fun s ->
+            let v = s *. s in
+            [| [| v; 0.; 0. |]; [| 0.; v; 0. |]; [| 0.; 0.; 0. |] |])
+          sd
+      in
+      make ~epoch:e ~obj:o ~loc:(Rfid_geom.Vec3.make x y z) ?cov ~degraded ()
+    in
+    let scan fmt k =
+      try Some (Scanf.sscanf line fmt k)
+      with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+    in
+    match
+      scan "t=%d obj=%d loc=(%f, %f, %f) (sd_xy=%f" (fun e o x y z s ->
+          mk e o x y z (Some s))
+    with
+    | Some _ as ev -> ev
+    | None -> scan "t=%d obj=%d loc=(%f, %f, %f" (fun e o x y z -> mk e o x y z None)

@@ -39,3 +39,11 @@ val confidence_ellipse : t -> level:float -> (float * float * float) option
     covariance. @raise Invalid_argument unless [0 < level < 1]. *)
 
 val pp : Format.formatter -> t -> unit
+
+val of_log_line : string -> t option
+(** Parse one line printed by {!pp} back into an event; [None] for a
+    blank line, a ["#"] comment or marker line, and anything else that
+    is not an event. {!pp} prints at fixed 3-decimal precision, so the
+    covariance comes back lossy — only [sd_xy] survives, as a diagonal
+    — but re-printing the parsed event yields the original line byte
+    for byte. Recovery uses this to read a durable events log back. *)

@@ -124,15 +124,19 @@ let drain t =
   if not t.draining then begin
     process_queue t;
     if t.halted = None then begin
+      (* The final checkpoint is taken before the flush and the marker
+         goes before the flush events, which share the final step's
+         epoch: recovery restores a state whose pending reports are
+         still pending and trims the log at the marker, so the next
+         DRAIN regenerates the flush events exactly once, whenever the
+         crash came. *)
+      t.hooks.on_checkpoint t.engine;
       (* [flush] emits pending reports but moves no posterior, so the
          query cache stays valid as-is. *)
       let events = Engine.flush t.engine in
-      if events <> [] then begin
-        List.iter (Query.record_event t.query) events;
-        t.hooks.on_events events
-      end;
+      List.iter (Query.record_event t.query) events;
       t.hooks.on_flush_mark ();
-      t.hooks.on_checkpoint t.engine
+      if events <> [] then t.hooks.on_events events
     end;
     t.draining <- true
   end

@@ -26,8 +26,9 @@ type hooks = {
       (** fired with each batch of newly emitted events, after they are
           in the ring — the durable events log writes here *)
   on_flush_mark : unit -> unit;
-      (** fired when [DRAIN] flushes the engine — the events log writes
-          its ["# flush"] marker here *)
+      (** fired when [DRAIN] flushes the engine, after the final
+          [on_checkpoint] and before the flush events — the events log
+          writes its ["# flush"] marker here *)
   on_admitted : int -> unit;
       (** fired with the new engine epoch each time a queued
           observation advances it — WAL sync cadence hangs here *)
@@ -71,8 +72,11 @@ val tick : t -> max_steps:int -> int
 
 val drain : t -> unit
 (** The [DRAIN] action without the reply: process the whole queue,
-    flush the engine, fire [on_flush_mark] and [on_checkpoint], latch
-    draining. Idempotent. The server's SIGTERM path calls this. *)
+    fire [on_checkpoint], flush the engine, fire [on_flush_mark] and
+    [on_events] with the flush events, latch draining. The checkpoint
+    comes before the flush so that recovering from it regenerates the
+    flush events at the next drain. Idempotent. The server's SIGTERM
+    path calls this. *)
 
 val queue_depth : t -> int
 val epoch : t -> int

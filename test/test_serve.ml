@@ -235,6 +235,47 @@ let test_core_backpressure () =
   if not (contains_sub stats "busy_rejections 1") then
     Alcotest.failf "STATS should count 1 busy rejection:\n%s" stats
 
+(* DRAIN checkpoints before it flushes, then writes the "# flush"
+   marker before the flush events, which share the final step's epoch:
+   recovery restores a state whose reports are still pending and trims
+   the log at the marker, so the next drain emits the flush events
+   exactly once, wherever the crash came. *)
+let test_core_drain_log () =
+  let boot = Lazy.force boot in
+  let line ev = Format.asprintf "%a\n" Rfid_core.Event.pp ev in
+  let log = Buffer.create 256 in
+  let hooks =
+    {
+      Core.no_hooks with
+      Core.on_events = List.iter (fun ev -> Buffer.add_string log (line ev));
+      on_flush_mark = (fun () -> Buffer.add_string log "# flush\n");
+      on_checkpoint = (fun _ -> Buffer.add_string log "<checkpoint>\n");
+    }
+  in
+  let core =
+    Core.create ~guard:(Bootstrap.fresh_guard boot) ~engine:(Bootstrap.fresh_engine boot)
+      ~num_objects:boot.Bootstrap.num_objects ~hooks ()
+  in
+  List.iter
+    (fun obs -> ignore (req core ("PUT " ^ Rfid_model.Trace_io.observation_to_line obs)))
+    sample_obs;
+  ignore (req core "DRAIN");
+  let guard = Bootstrap.fresh_guard boot and engine = Bootstrap.fresh_engine boot in
+  let steps =
+    List.concat_map
+      (fun obs ->
+        match Rfid_robust.Ingest.step_engine guard engine obs with
+        | Ok evs -> evs
+        | Error (_, msg) -> Alcotest.fail msg)
+      sample_obs
+  in
+  let flushed = Rfid_core.Engine.flush engine in
+  Alcotest.(check bool) "drain flushes events" true (flushed <> []);
+  Alcotest.(check string) "step events, checkpoint, marker, flush events"
+    (String.concat "" (List.map line steps) ^ "<checkpoint>\n# flush\n"
+    ^ String.concat "" (List.map line flushed))
+    (Buffer.contents log)
+
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics + UDP push *)
 
@@ -479,6 +520,8 @@ let suite =
       Alcotest.test_case "query: event ring" `Quick test_event_ring;
       Alcotest.test_case "core: wire = direct replay" `Quick test_core_consistency;
       Alcotest.test_case "core: backpressure" `Quick test_core_backpressure;
+      Alcotest.test_case "core: drain checkpoints, then marks the log" `Quick
+        test_core_drain_log;
       Alcotest.test_case "openmetrics: render" `Quick test_openmetrics;
       Alcotest.test_case "push: UDP loopback" `Quick test_push_udp;
       Alcotest.test_case "PROTOCOL.md conformance" `Quick test_protocol_conformance;
